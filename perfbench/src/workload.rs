@@ -100,6 +100,24 @@ pub fn remove_dir(dir: &Path) {
     }
 }
 
+/// Flush the file system that holds `dir` (`sync -f`), outside any timing.
+/// Deleting a set-up's files frees blocks that the file system writes back
+/// and discards at its next journal commit; unflushed, that commit lands in
+/// the next timed operations and slowed commit cycles by up to 3× for
+/// seconds at a time. Each set-up and each timed loop therefore starts from
+/// a flushed file system.
+pub fn settle(dir: &Path) -> Result<(), String> {
+    let status = std::process::Command::new("sync")
+        .arg("-f")
+        .arg(dir)
+        .status()
+        .map_err(|e| format!("sync -f {}: {e}", dir.display()))?;
+    if !status.success() {
+        return Err(format!("sync -f {}: {status}", dir.display()));
+    }
+    Ok(())
+}
+
 /// Simulated platform time: S3-model store time plus the runtime's
 /// container clock.
 fn sim_ns(lh: &Lakehouse) -> u64 {
@@ -374,9 +392,10 @@ pub fn query_loop(
 // ---------------------------------------------------------------------------
 
 /// Taxi pipeline runs per round; each is followed by `COMMITS_PER_RUN`
-/// commit cycles.
-pub const RUNS_PER_ROUND: usize = 4;
-pub const COMMITS_PER_RUN: usize = 25;
+/// commit cycles. Ten runs per round put over 100 runs in a 45 s run, so
+/// the runs' 90th percentile has ten beyond it.
+pub const RUNS_PER_ROUND: usize = 10;
+pub const COMMITS_PER_RUN: usize = 10;
 pub const APPEND_ROWS: usize = 2_000;
 /// The table the commit cycles append to; the pipeline does not read it.
 const APPEND_TABLE: &str = "appends";
